@@ -27,6 +27,7 @@ from repro.core.columnar import CandidateBatch
 from repro.core.executor import ScanReport
 from repro.core.local_filter import LocalFilter
 from repro.core.threshold import ThresholdSearchResult, threshold_search
+from repro.core.validate import check_threshold
 from repro.exceptions import QueryError
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.table import ScanRange
@@ -135,8 +136,7 @@ def threshold_search_many(
             f"got {len(queries)} queries but {len(eps_list)} thresholds"
         )
     for eps in eps_list:
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
+        check_threshold(eps)
     if not queries:
         return []
 

@@ -26,6 +26,7 @@ from repro.core.pruning import GlobalPruner, PruningResult
 from repro.core.storage import INTEGER_KEYS, TrajectoryStore
 from repro.core.threshold import ThresholdSearchResult, threshold_search
 from repro.core.topk import TopKSearchResult, topk_search
+from repro.core.validate import check_query, check_threshold
 from repro.exceptions import QueryError
 from repro.geometry.mbr import MBR
 from repro.geometry.trajectory import Trajectory
@@ -347,6 +348,8 @@ class TraSS:
         Measures lacking the Lemma 5 point lower bound (EDR, ERP) cannot
         be index-pruned; they are answered by a verified full scan.
         """
+        check_query(query)
+        check_threshold(eps)
         if self._remote_executor is not None:
             remote = self._remote_executor
             started = time.perf_counter()
@@ -403,6 +406,7 @@ class TraSS:
         Measures lacking the Lemma 5 lower bound fall back to a ranked
         full scan (the index's geometric bounds do not bound them).
         """
+        check_query(query)
         if self._remote_executor is not None:
             remote = self._remote_executor
             started = time.perf_counter()
@@ -472,13 +476,20 @@ class TraSS:
         Batched queries skip the workload recorder: per-query I/O
         deltas are meaningless under a shared scan.
         """
+        queries = list(queries)
+        try:
+            eps_list = [float(e) for e in eps]
+        except TypeError:
+            eps_list = [float(eps)] * len(queries)
+        if len(eps_list) != len(queries):
+            raise QueryError(
+                f"got {len(queries)} queries but {len(eps_list)} thresholds"
+            )
+        for query, eps_value in zip(queries, eps_list):
+            check_query(query)
+            check_threshold(eps_value)
         if self._remote_executor is not None:
             remote = self._remote_executor
-            queries = list(queries)
-            try:
-                eps_list = [float(e) for e in eps]
-            except TypeError:
-                eps_list = [float(eps)] * len(queries)
             started = time.perf_counter()
             results = remote.threshold_search_many(
                 queries, eps, measure=measure
@@ -501,15 +512,6 @@ class TraSS:
                     origin="cluster",
                 )
             return results
-        queries = list(queries)
-        try:
-            eps_list = [float(e) for e in eps]
-        except TypeError:
-            eps_list = [float(eps)] * len(queries)
-        if len(eps_list) != len(queries):
-            raise QueryError(
-                f"got {len(queries)} queries but {len(eps_list)} thresholds"
-            )
         resolved = self._resolve_measure(measure)
         tracer = self._tracer
         started = time.perf_counter()
@@ -569,6 +571,8 @@ class TraSS:
         if self._remote_executor is not None:
             remote = self._remote_executor
             queries = list(queries)
+            for query in queries:
+                check_query(query)
             started = time.perf_counter()
             results = remote.topk_search_many(queries, k, measure=measure)
             per_query = (
@@ -599,8 +603,7 @@ class TraSS:
 
         from repro.core.pruning import PruningResult
 
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
+        check_threshold(eps)
         started = time.perf_counter()
         before = self.metrics.snapshot()
         answers = {}

@@ -28,11 +28,13 @@ import numpy as np
 from repro.core.codec import decode_row
 from repro.core.columnar import CandidateBatch, ColumnarRecord, decode_row_columnar
 from repro.core.storage import TrajectoryRecord
+from repro.core.validate import check_threshold
 from repro.exceptions import QueryError
 from repro.features.dp_features import (
     DPFeatures,
+    boxes_exceed,
+    boxes_exceed_many,
     extract_dp_features,
-    pack_boxes,
     pack_rects,
     points_within_box_union,
 )
@@ -102,8 +104,7 @@ class LocalFilter:
         stages: Optional[frozenset] = None,
         box_mode: str = "chord",
     ):
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
+        check_threshold(eps)
         if stages is not None and not set(stages) <= self.ALL_STAGES:
             raise QueryError(
                 f"unknown filter stages {set(stages) - self.ALL_STAGES}"
@@ -210,9 +211,7 @@ class LocalFilter:
             and len(features.boxes) * len(q_features.boxes)
             <= self.MAX_BOX_PAIRS
         ):
-            if features.exceeds_box_bound(
-                q_features, eps
-            ) or q_features.exceeds_box_bound(features, eps):
+            if boxes_exceed(features, q_features, eps):
                 self.stats.rejected_boxes += 1
                 if tracer is not None:
                     tracer.add_event(
@@ -240,7 +239,7 @@ class LocalFilter:
                 np.asarray(q.points[-1], dtype=np.float64),
                 q.mbr,
                 np.array(f.rep_points, dtype=np.float64).reshape(-1, 2),
-                pack_boxes(f.boxes),
+                f.packed.params,
                 pack_rects(f.envelopes),
             )
             self._query_arrays = qa
@@ -254,9 +253,8 @@ class LocalFilter:
         charged against candidates still alive, so the per-lemma
         :class:`LocalFilterStats` tallies — and the accept/reject
         decisions — are identical to running :meth:`passes` per record.
-        Lemma 14's rotated edge-against-box-union test stays the exact
-        scalar kernel, applied to the (small) set of candidates the
-        vectorised lemmas could not decide.
+        Lemma 14 runs :func:`boxes_exceed_many` once over the
+        candidates the earlier lemmas kept.
         """
         n = batch.size
         stats = self.stats
@@ -356,20 +354,26 @@ class LocalFilter:
                     rej13 |= batch.box_counts == 0
             stats.rejected_rep_points += reject("rep_points", rej13)
 
-        # Step 3 — Lemma 14, both directions: the exact rotated
-        # segment-against-box-union kernel on the candidates the cheap
-        # lemmas kept, under the same cost cap.
+        # Step 3 — Lemma 14, both directions, on the candidates the
+        # cheap lemmas kept, under the same cost cap: one kernel call
+        # for all of them.
         if "boxes" in self.stages and alive.any():
             q_features = self.features
             n_q_boxes = len(q_features.boxes)
-            capped = batch.box_counts * n_q_boxes <= self.MAX_BOX_PAIRS
+            checked = alive & (
+                batch.box_counts * n_q_boxes <= self.MAX_BOX_PAIRS
+            )
+            idx = np.flatnonzero(checked)
             rej14 = np.zeros(n, dtype=bool)
-            for i in np.flatnonzero(alive & capped):
-                feats = batch.records[i].features
-                if feats.exceeds_box_bound(
-                    q_features, eps
-                ) or q_features.exceeds_box_bound(feats, eps):
-                    rej14[i] = True
+            if len(idx):
+                records = batch.records
+                rej14[idx] = boxes_exceed_many(
+                    q_features,
+                    batch.box_params[np.repeat(checked, batch.box_counts)],
+                    batch.box_counts[idx],
+                    lambda i: records[idx[i]].features,
+                    eps,
+                )
             stats.rejected_boxes += reject("boxes", rej14)
 
         stats.passed += int(alive.sum())

@@ -20,9 +20,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from repro.core.codec import decode_row, encode_row
 from repro.core.config import TraSSConfig
 from repro.core.executor import ParallelScanExecutor
-from repro.exceptions import KVStoreError, QueryError
+from repro.exceptions import GeometryError, KVStoreError, QueryError
 from repro.features.dp_features import DPFeatures, extract_dp_features
-from repro.geometry.trajectory import Trajectory
+from repro.geometry.trajectory import Trajectory, all_finite
 from repro.index.ranges import IndexRange
 from repro.index.xzstar import XZStarIndex
 from repro.kvstore.metrics import IOMetrics
@@ -192,6 +192,10 @@ class TrajectoryStore:
 
     def _prepare(self, trajectory: Trajectory) -> Tuple[bytes, bytes, int]:
         """Row key, row blob and index value for one trajectory."""
+        if not all_finite(trajectory.points):
+            raise GeometryError(
+                f"trajectory {trajectory.tid!r} has a non-finite coordinate"
+            )
         placed = self.index.index(trajectory)
         features = extract_dp_features(
             trajectory.points,

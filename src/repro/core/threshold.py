@@ -20,7 +20,7 @@ from repro.core.local_filter import (
 )
 from repro.core.pruning import GlobalPruner, PruningResult
 from repro.core.storage import TrajectoryRecord, TrajectoryStore
-from repro.exceptions import QueryError
+from repro.core.validate import check_threshold
 from repro.geometry.trajectory import Trajectory
 from repro.kvstore.table import ScanRange
 from repro.measures.base import Measure
@@ -103,8 +103,7 @@ def threshold_search(
     the scan, so its span carries the accumulated callback time rather
     than a contiguous interval.
     """
-    if eps < 0:
-        raise QueryError(f"threshold must be non-negative, got {eps}")
+    check_threshold(eps)
     if tracer is None:
         tracer = NULL_TRACER
 

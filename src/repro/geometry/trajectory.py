@@ -7,13 +7,28 @@ of derived views (prefixes, segments) the paper's definitions use.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+import math
+from itertools import chain
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import GeometryError
 from repro.geometry.mbr import MBR
 from repro.geometry.point import Point
 
 PointTuple = Tuple[float, float]
+
+
+def all_finite(points: Iterable[Sequence[float]]) -> bool:
+    """True when no coordinate is NaN or infinite.
+
+    A float sum is non-finite whenever one of its terms is, so a single
+    C-speed ``sum`` settles the usual case; only a non-finite sum (which
+    huge finite values can also produce, by overflow) pays for the
+    per-coordinate check.
+    """
+    if math.isfinite(sum(chain.from_iterable(points), 0.0)):
+        return True
+    return all(map(math.isfinite, chain.from_iterable(points)))
 
 
 class Trajectory:

@@ -85,6 +85,8 @@ class IOMetrics:
     gets: int = 0
     puts: int = 0
     bloom_negatives: int = 0
+    #: LSM runs (SSTables or segments) read by scans that missed the
+    #: block cache
     sstables_opened: int = 0
     regions_visited: int = 0
     filter_evaluations: int = 0
@@ -144,19 +146,19 @@ class IOMetrics:
 
     def snapshot(self) -> Dict[str, int]:
         """A plain-dict copy of the current counters."""
-        return {
-            f.name: getattr(self, f.name) for f in dataclasses.fields(self)
-        }
+        return {name: getattr(self, name) for name in _IO_FIELDS}
 
     def reset(self) -> None:
         """Zero every counter (between benchmark phases)."""
-        for name in self.snapshot():
+        for name in _IO_FIELDS:
             setattr(self, name, 0)
 
     def diff(self, before: Dict[str, int]) -> Dict[str, int]:
         """Counter deltas since a :meth:`snapshot`."""
-        now = self.snapshot()
-        return {name: now[name] - before.get(name, 0) for name in now}
+        return {
+            name: getattr(self, name) - before.get(name, 0)
+            for name in _IO_FIELDS
+        }
 
     def merge_from(self, other: "IOMetrics") -> None:
         """Add every counter of ``other`` into this bundle.
@@ -166,7 +168,12 @@ class IOMetrics:
         lock discipline — so concurrent scans keep counters exact
         without per-increment synchronisation.
         """
-        for f in dataclasses.fields(self):
-            setattr(
-                self, f.name, getattr(self, f.name) + getattr(other, f.name)
-            )
+        for name in _IO_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
+
+#: counter names in declaration order, read once instead of reflecting
+#: over the dataclass on every snapshot
+_IO_FIELDS: Tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(IOMetrics)
+)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import bisect
 import threading
+import weakref
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import KVStoreError
 from repro.kvstore.cache import ObjectLRUCache, scan_block_cache
@@ -194,14 +195,6 @@ class KVTable:
         if region.row_count > self.max_region_rows:
             self._split_region(idx)
 
-    def batch_put(self, items: Iterable[Tuple[bytes, bytes]]) -> int:
-        """Apply puts in bulk; returns the number written."""
-        count = 0
-        for key, value in items:
-            self.put(key, value)
-            count += 1
-        return count
-
     def delete(self, key: bytes) -> None:
         key = bytes(key)
         self.region_for(key).delete(key)
@@ -263,9 +256,19 @@ class KVTable:
 
         Late-bound through the ``metrics`` property so parallel scan
         workers report into their thread-local sinks, exactly like
-        every other ``IOMetrics`` counter.
+        every other ``IOMetrics`` counter.  The table is held weakly:
+        table -> region -> segment -> provider -> table would otherwise
+        be a cycle, and a dropped store's segments would stay mmapped
+        until the cyclic collector ran — inherited meanwhile by every
+        serving worker forked from this process.
         """
-        segment.metrics_provider = lambda: self.metrics
+        table = weakref.ref(self)
+
+        def metrics() -> IOMetrics:
+            owner = table()
+            return owner.metrics if owner is not None else IOMetrics()
+
+        segment.metrics_provider = metrics
 
     # ------------------------------------------------------------------
     # Reads
@@ -354,6 +357,7 @@ class KVTable:
         """
         cache = self.scan_cache
         if cache is None or self.fault_injector is not None:
+            self.metrics.sstables_opened += len(region.store.sstables)
             return region.scan(start, stop)
         key = (region.region_id, start, stop, self.generation)
         rows = cache.get(key)
@@ -361,6 +365,7 @@ class KVTable:
             self.metrics.block_cache_hits += 1
             return rows
         self.metrics.block_cache_misses += 1
+        self.metrics.sstables_opened += len(region.store.sstables)
         rows = list(region.scan(start, stop))
         cost = sum(len(k) + len(v) for k, v in rows) + 64
         cache.put(key, rows, cost)

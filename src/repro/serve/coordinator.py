@@ -42,6 +42,7 @@ from repro.core.local_filter import LocalFilterStats
 from repro.core.pruning import PruningResult
 from repro.core.threshold import ThresholdSearchResult
 from repro.core.topk import TopKSearchResult
+from repro.core.validate import check_query, check_threshold
 from repro.exceptions import (
     ClusterError,
     DegradedResult,
@@ -315,13 +316,6 @@ class ServingCluster:
         return cls(
             engine.config, engine.store.key_encoding, trajectories, **kwargs
         )
-
-    @classmethod
-    def from_trajectories(
-        cls, trajectories, config, key_encoding="integer", **kwargs
-    ) -> "ServingCluster":
-        data = [(t.tid, tuple(t.points)) for t in trajectories]
-        return cls(config, key_encoding, data, **kwargs)
 
     def _partition_of(self, tid: str) -> int:
         return shard_of(tid, self.config.shards) % self.partitions
@@ -943,8 +937,8 @@ class ServingCluster:
     def threshold_search(
         self, query, eps: float, measure=None, tenant: str = "default"
     ) -> ThresholdSearchResult:
-        if eps < 0:
-            raise QueryError(f"threshold must be non-negative, got {eps}")
+        check_query(query)
+        check_threshold(eps)
         resolved = self._plan_engine._resolve_measure(measure)
         query_started = time.perf_counter()
         self.admission.admit(tenant)
@@ -998,6 +992,7 @@ class ServingCluster:
     ) -> TopKSearchResult:
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
+        check_query(query)
         resolved = self._plan_engine._resolve_measure(measure)
         query_started = time.perf_counter()
         self.admission.admit(tenant)
@@ -1105,9 +1100,9 @@ class ServingCluster:
             raise QueryError(
                 f"got {len(queries)} queries but {len(eps_list)} thresholds"
             )
-        for e in eps_list:
-            if e < 0:
-                raise QueryError(f"threshold must be non-negative, got {e}")
+        for query, e in zip(queries, eps_list):
+            check_query(query)
+            check_threshold(e)
         if not queries:
             return []
         resolved = self._plan_engine._resolve_measure(measure)
@@ -1176,6 +1171,8 @@ class ServingCluster:
         queries = list(queries)
         if k < 1:
             raise QueryError(f"k must be >= 1, got {k}")
+        for query in queries:
+            check_query(query)
         if not queries:
             return []
         resolved = self._plan_engine._resolve_measure(measure)

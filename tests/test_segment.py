@@ -417,6 +417,38 @@ def test_compact_save_load_equivalence(tmp_path):
     assert snap["segment_bytes_logical"] > snap["segment_bytes_compressed"]
 
 
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="requires Linux procfs"
+)
+def test_dropped_store_unmaps_segments_without_gc(tmp_path):
+    """Dropping a loaded ``.seg`` store unmaps its segments at once,
+    not at the next cyclic collection (a forked serving worker would
+    otherwise inherit the stale mappings)."""
+    import gc
+
+    def mapped():
+        with open("/proc/self/maps") as fh:
+            return {
+                line.split()[-1]
+                for line in fh
+                if line.rstrip().endswith(".seg")
+                and line.split()[-1].startswith(str(tmp_path))
+            }
+
+    trajs = tdrive_like(40, seed=3, decimals=5)
+    config = TraSSConfig(bounds=TDRIVE_BOUNDS, max_resolution=14, shards=4)
+    TraSS.build(trajs, config).save(str(tmp_path / "store"), compact=True)
+    gc.disable()
+    try:
+        engine = TraSS.load(str(tmp_path / "store"))
+        engine.threshold_search(trajs[0], 0.01)
+        assert mapped()
+        del engine
+        assert not mapped()
+    finally:
+        gc.enable()
+
+
 def test_compact_save_load_parallel_and_vectorized(tmp_path):
     trajs = tdrive_like(80, seed=5, decimals=5)
     probes = tdrive_like(5, seed=88, decimals=5)

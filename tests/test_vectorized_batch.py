@@ -3,9 +3,11 @@
 The contracts under test:
 
 * the numpy batch filter makes the same accept/reject decisions — and
-  produces the same per-lemma :class:`LocalFilterStats` — as the scalar
-  reference, pinned by a hypothesis property over random trajectories,
-  thresholds and measures;
+  produces the same per-lemma :class:`LocalFilterStats` — as the
+  per-record filter, pinned by a hypothesis property over random
+  trajectories, thresholds and measures (both paths decide Lemma 14
+  with the same packed kernel; ``test_lemma14_kernel.py`` pins that
+  kernel to the scalar ``DPFeatures.exceeds_box_bound``);
 * the columnar decoder reads the same blob into bit-identical geometry;
 * a batch of threshold queries answers bit-identically to sequential
   execution while scanning strictly fewer rows (the scan-sharing
